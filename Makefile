@@ -54,12 +54,13 @@ bench-engine:
 # state (CSR kernel vs the closure reference vs parallel Jacobi vs
 # forced GS/BiCGSTAB), multi-BSCC absorption via the adjoint SCC-block
 # solver, parallel uniformization, policy-iteration throughput bounds,
-# the server's cold-solve vs cache-hit request latency, and sequential
-# vs sharded generation of the ~100k-state product, repeated for
-# benchstat and summarized into BENCH_PR6.json. Pass a previous summary
-# through `./scripts/bench.sh --compare BENCH_PR5.json` for a delta
-# table.
+# the server's cold-solve vs cache-hit request latency, sequential vs
+# sharded generation of the ~100k-state product, and process generation
+# of E2's handshake routers, repeated for benchstat (with -benchmem) and
+# summarized into BENCH_PR<N>.json for `make bench-solver PR=N`. Pass a
+# previous summary through `./scripts/bench.sh --compare BENCH_PR<M>.json
+# N` for a delta table.
 bench-solver:
-	./scripts/bench.sh
+	./scripts/bench.sh $(PR)
 
 check: build vet test lint race chaos smoke

@@ -1,9 +1,9 @@
 package multival
 
-// One benchmark per experiment of the reproduction (see DESIGN.md §3 and
-// EXPERIMENTS.md). Each benchmark runs the same flow as cmd/experiments,
-// so `go test -bench=.` regenerates every reported quantity; printed
-// tables come from `go run ./cmd/experiments`.
+// One benchmark per experiment of the reproduction. Each benchmark runs
+// the same flow as cmd/experiments, so `go test -bench=.` regenerates
+// every reported quantity; printed tables come from
+// `go run ./cmd/experiments`.
 
 import (
 	"context"
@@ -22,6 +22,7 @@ import (
 	"multival/internal/markov"
 	"multival/internal/mcl"
 	"multival/internal/phasetype"
+	"multival/internal/process"
 	"multival/internal/xstream"
 )
 
@@ -64,6 +65,48 @@ func BenchmarkE2FaustRouter(b *testing.B) {
 				b.Fatal("misrouting")
 			}
 		}
+	}
+}
+
+// BenchmarkGenerate: process generation alone (no hiding, checking or
+// minimization) of E2's handshake routers: the 6,385-state ports-3 router
+// with inputs 0 and 1, and the 65,329-state ports-3 router with every
+// input active. Reports generated states per second and allocations per
+// state.
+func BenchmarkGenerate(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		inputs []int
+	}{
+		{"p3-i01-hs", []int{0, 1}},
+		{"p3-hs", nil},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			procs, err := faust.RouterProcesses(faust.RouterConfig{Ports: 3, InputsActive: c.inputs})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sys, err := chp.Translate(procs, chp.Options{HandshakeExpand: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			states := 0
+			for i := 0; i < b.N; i++ {
+				l, err := sys.Generate(process.GenOptions{MaxStates: 1 << 20})
+				if err != nil {
+					b.Fatal(err)
+				}
+				states += l.NumStates()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(states), "allocs/state")
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 // Command experiments regenerates every experiment of the reproduction
-// (E1–E9), printing one table or series per claim of the Multival paper's
-// evaluation (§3–§5). EXPERIMENTS.md is produced from this output.
+// (E1–E11), printing one table or series per claim of the Multival paper's
+// evaluation (§3–§5). The full transcript is pinned in
+// testdata/experiments.golden.
 //
 // Usage:
 //
@@ -10,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -54,8 +56,17 @@ func main() {
 	ctx, cancel := c.Context()
 	defer cancel()
 
+	if failed := runExperiments(ctx, flag.Args()); failed > 0 {
+		os.Exit(1)
+	}
+}
+
+// runExperiments runs the experiments named in ids (all of them when ids
+// is empty) in table order, printing each under its header on stdout,
+// and returns how many failed.
+func runExperiments(ctx context.Context, ids []string) int {
 	want := map[string]bool{}
-	for _, a := range flag.Args() {
+	for _, a := range ids {
 		want[strings.ToUpper(a)] = true
 	}
 	failed := 0
@@ -76,9 +87,7 @@ func main() {
 		}
 		fmt.Println()
 	}
-	if failed > 0 {
-		os.Exit(1)
-	}
+	return failed
 }
 
 // E1: the two injected xSTream protocol issues are found by the flow.

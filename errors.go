@@ -36,4 +36,8 @@ var (
 	// ErrZeno: the model contains a cycle of instantaneous transitions
 	// (tau livelock), which has no timed semantics.
 	ErrZeno = engine.ErrZeno
+	// ErrNestingDepth: a LOTOS specification or a mu-calculus formula
+	// nests deeper than the parser's fixed bound; it is rejected before
+	// its recursion could exhaust the stack.
+	ErrNestingDepth = engine.ErrNestingDepth
 )

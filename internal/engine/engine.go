@@ -39,6 +39,10 @@ var (
 	// ErrZeno reports a cycle of instantaneous transitions (a tau
 	// livelock), which has no timed semantics.
 	ErrZeno = errors.New("instantaneous cycle (Zeno behaviour)")
+	// ErrNestingDepth reports a specification or formula that nests
+	// deeper than its parser's fixed bound (lotos.MaxNesting,
+	// mcl.MaxNesting).
+	ErrNestingDepth = errors.New("input nested too deeply")
 )
 
 // Progress is a snapshot of a long-running operation, delivered to the

@@ -16,6 +16,10 @@ import (
 //	unary   ::= "-" unary | primary
 //	primary ::= INT | "true" | "false" | IDENT | "(" expr ")"
 func (p *parser) parseExpr() (process.Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	if p.isKw("if") {
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -24,6 +28,7 @@ func (p *parser) parseExpr() (process.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		hc := p.height
 		if ok, err := p.acceptKw("then"); err != nil {
 			return nil, err
 		} else if !ok {
@@ -33,6 +38,7 @@ func (p *parser) parseExpr() (process.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		ha := p.height
 		if ok, err := p.acceptKw("else"); err != nil {
 			return nil, err
 		} else if !ok {
@@ -42,6 +48,7 @@ func (p *parser) parseExpr() (process.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.built(hc, ha, p.height)
 		return process.Ite(c, a, b), nil
 	}
 	return p.parseOr()
@@ -52,6 +59,7 @@ func (p *parser) parseOr() (process.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	h := p.height
 	for p.isKw("or") {
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -60,6 +68,7 @@ func (p *parser) parseOr() (process.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		h = p.join(h)
 		left = process.OrE(left, right)
 	}
 	return left, nil
@@ -70,6 +79,7 @@ func (p *parser) parseAnd() (process.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	h := p.height
 	for p.isKw("and") {
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -78,6 +88,7 @@ func (p *parser) parseAnd() (process.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		h = p.join(h)
 		left = process.AndE(left, right)
 	}
 	return left, nil
@@ -85,6 +96,10 @@ func (p *parser) parseAnd() (process.Expr, error) {
 
 func (p *parser) parseNot() (process.Expr, error) {
 	if p.isKw("not") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -92,6 +107,7 @@ func (p *parser) parseNot() (process.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.built(p.height)
 		return process.NotExpr(x), nil
 	}
 	return p.parseCmp()
@@ -102,6 +118,7 @@ func (p *parser) parseCmp() (process.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	h := p.height
 	var mk func(a, b process.Expr) process.Expr
 	switch p.tok.kind {
 	case tEq:
@@ -126,6 +143,7 @@ func (p *parser) parseCmp() (process.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.join(h)
 	return mk(left, right), nil
 }
 
@@ -134,6 +152,7 @@ func (p *parser) parseAdd() (process.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	h := p.height
 	for p.tok.kind == tPlus || p.tok.kind == tMinus {
 		op := p.tok.kind
 		if err := p.advance(); err != nil {
@@ -143,6 +162,7 @@ func (p *parser) parseAdd() (process.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		h = p.join(h)
 		if op == tPlus {
 			left = process.Add(left, right)
 		} else {
@@ -157,6 +177,7 @@ func (p *parser) parseMul() (process.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	h := p.height
 	for {
 		var mk func(a, b process.Expr) process.Expr
 		switch {
@@ -176,12 +197,17 @@ func (p *parser) parseMul() (process.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		h = p.join(h)
 		left = mk(left, right)
 	}
 }
 
 func (p *parser) parseUnary() (process.Expr, error) {
 	if p.tok.kind == tMinus {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -189,12 +215,16 @@ func (p *parser) parseUnary() (process.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.built(p.height)
 		return process.Neg{X: x}, nil
 	}
 	return p.parsePrimary()
 }
 
 func (p *parser) parsePrimary() (process.Expr, error) {
+	if p.tok.kind != tLParen {
+		p.height = 1
+	}
 	switch {
 	case p.tok.kind == tInt:
 		n := p.tok.n

@@ -89,11 +89,16 @@ func (t token) String() string {
 type Error struct {
 	Line, Col int
 	Msg       string
+	// Err is the sentinel the error wraps, if any (engine.ErrNestingDepth).
+	Err error
 }
 
 func (e *Error) Error() string {
 	return fmt.Sprintf("lotos: %d:%d: %s", e.Line, e.Col, e.Msg)
 }
+
+// Unwrap returns the sentinel the error wraps, if any.
+func (e *Error) Unwrap() error { return e.Err }
 
 type lexer struct {
 	src  string
@@ -107,7 +112,7 @@ func newLexer(src string) *lexer {
 }
 
 func (lx *lexer) errorf(format string, args ...interface{}) *Error {
-	return &Error{lx.line, lx.col, fmt.Sprintf(format, args...)}
+	return &Error{Line: lx.line, Col: lx.col, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (lx *lexer) advance(n int) {
@@ -156,7 +161,7 @@ func (lx *lexer) skipSpace() error {
 				}
 			}
 			if depth > 0 {
-				return &Error{startLine, startCol, "unterminated comment"}
+				return &Error{Line: startLine, Col: startCol, Msg: "unterminated comment"}
 			}
 		default:
 			return nil

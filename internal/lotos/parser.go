@@ -3,6 +3,7 @@ package lotos
 import (
 	"fmt"
 
+	"multival/internal/engine"
 	"multival/internal/process"
 )
 
@@ -50,6 +51,58 @@ func MustParse(src string) *process.System {
 type parser struct {
 	lx  *lexer
 	tok token
+	// depth is the current depth of recursive descent; height is the
+	// nesting height of the term parsed last.
+	depth, height int
+}
+
+// MaxNesting bounds how deeply a specification may nest: the depth of
+// recursive descent (parentheses, prefixes, operands) and the height of
+// the root behaviour and of every process body, expressions included.
+// Deeper input is rejected with an error wrapping engine.ErrNestingDepth;
+// it would otherwise exhaust the goroutine stack of the parser or of the
+// recursive passes over the terms (printing, substitution, generation),
+// and a stack overflow cannot be recovered.
+const MaxNesting = 10000
+
+// enter counts one more level of recursive descent; leave undoes it.
+func (p *parser) enter() error {
+	p.depth++
+	if p.depth > MaxNesting {
+		return p.tooDeep()
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
+
+// built records the height of the term just built over subterms of the
+// given heights.
+func (p *parser) built(subterms ...int) {
+	h := 0
+	for _, s := range subterms {
+		h = max(h, s)
+	}
+	p.height = h + 1
+}
+
+// join records the height of a binary term whose left operand has
+// height left and whose right operand was parsed last, and returns it.
+func (p *parser) join(left int) int {
+	p.built(left, p.height)
+	return p.height
+}
+
+// checkHeight rejects the term parsed last if it nests too deeply.
+func (p *parser) checkHeight() error {
+	if p.height > MaxNesting {
+		return p.tooDeep()
+	}
+	return nil
+}
+
+func (p *parser) tooDeep() error {
+	return &Error{Line: p.tok.line, Col: p.tok.col, Msg: fmt.Sprintf("nesting deeper than %d levels", MaxNesting), Err: engine.ErrNestingDepth}
 }
 
 func (p *parser) advance() error {
@@ -62,7 +115,7 @@ func (p *parser) advance() error {
 }
 
 func (p *parser) errorf(format string, args ...interface{}) error {
-	return &Error{p.tok.line, p.tok.col, fmt.Sprintf(format, args...)}
+	return &Error{Line: p.tok.line, Col: p.tok.col, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (p *parser) expect(kind tokKind) error {
@@ -125,6 +178,9 @@ func (p *parser) parseSpec() (*process.System, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := p.checkHeight(); err != nil {
+		return nil, err
+	}
 	if p.tok.kind != tEOF {
 		return nil, p.errorf("unexpected %s after root behaviour", p.tok)
 	}
@@ -169,6 +225,9 @@ func (p *parser) parseProcessDef(sys *process.System) error {
 	if err != nil {
 		return err
 	}
+	if err := p.checkHeight(); err != nil {
+		return err
+	}
 	if !p.isKw("endproc") {
 		return p.errorf("expected 'endproc', got %s", p.tok)
 	}
@@ -186,6 +245,7 @@ func (p *parser) parseBehavior() (process.Behavior, error) {
 	if err != nil {
 		return nil, err
 	}
+	h := p.height
 	for p.tok.kind == tSeq {
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -217,6 +277,7 @@ func (p *parser) parseBehavior() (process.Behavior, error) {
 		if err != nil {
 			return nil, err
 		}
+		h = p.join(h)
 		left = process.Seq{A: left, Accept: accept, B: right}
 	}
 	return left, nil
@@ -228,6 +289,7 @@ func (p *parser) parseDisable() (process.Behavior, error) {
 	if err != nil {
 		return nil, err
 	}
+	h := p.height
 	for p.tok.kind == tDisable {
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -236,6 +298,7 @@ func (p *parser) parseDisable() (process.Behavior, error) {
 		if err != nil {
 			return nil, err
 		}
+		h = p.join(h)
 		left = process.Disable{A: left, B: right}
 	}
 	return left, nil
@@ -246,6 +309,7 @@ func (p *parser) parsePar() (process.Behavior, error) {
 	if err != nil {
 		return nil, err
 	}
+	h := p.height
 	for {
 		switch p.tok.kind {
 		case tInter:
@@ -256,6 +320,7 @@ func (p *parser) parsePar() (process.Behavior, error) {
 			if err != nil {
 				return nil, err
 			}
+			h = p.join(h)
 			left = process.Par{A: left, B: right}
 		case tParOpen:
 			if err := p.advance(); err != nil {
@@ -282,6 +347,7 @@ func (p *parser) parsePar() (process.Behavior, error) {
 			if err != nil {
 				return nil, err
 			}
+			h = p.join(h)
 			left = process.SyncPar(gates, left, right)
 		default:
 			return left, nil
@@ -294,6 +360,7 @@ func (p *parser) parseChoice() (process.Behavior, error) {
 	if err != nil {
 		return nil, err
 	}
+	h := p.height
 	for p.tok.kind == tChoice {
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -302,12 +369,17 @@ func (p *parser) parseChoice() (process.Behavior, error) {
 		if err != nil {
 			return nil, err
 		}
+		h = p.join(h)
 		left = process.Choice{A: left, B: right}
 	}
 	return left, nil
 }
 
 func (p *parser) parsePrefix() (process.Behavior, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	switch {
 	case p.tok.kind == tLBrack:
 		// Guard: [expr] -> prefix
@@ -318,6 +390,7 @@ func (p *parser) parsePrefix() (process.Behavior, error) {
 		if err != nil {
 			return nil, err
 		}
+		hc := p.height
 		if err := p.expect(tRBrack); err != nil {
 			return nil, err
 		}
@@ -328,6 +401,7 @@ func (p *parser) parsePrefix() (process.Behavior, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.built(hc, p.height)
 		return process.Guard{Cond: cond, B: body}, nil
 
 	case p.isKw("hide"):
@@ -357,6 +431,7 @@ func (p *parser) parsePrefix() (process.Behavior, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.built(p.height)
 		return process.HideIn(gates, body), nil
 
 	case p.isKw("rename"):
@@ -393,6 +468,7 @@ func (p *parser) parsePrefix() (process.Behavior, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.built(p.height)
 		return process.Rename{Map: m, B: body}, nil
 
 	case p.isKw("let"):
@@ -410,6 +486,7 @@ func (p *parser) parsePrefix() (process.Behavior, error) {
 		if err != nil {
 			return nil, err
 		}
+		he := p.height
 		if ok, err := p.acceptKw("in"); err != nil {
 			return nil, err
 		} else if !ok {
@@ -419,9 +496,11 @@ func (p *parser) parsePrefix() (process.Behavior, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.built(he, p.height)
 		return process.Let{Var: v, E: e, B: body}, nil
 
 	case p.isKw("stop"):
+		p.height = 1
 		return process.Stop{}, p.advance()
 
 	case p.isKw("exit"):
@@ -429,6 +508,7 @@ func (p *parser) parsePrefix() (process.Behavior, error) {
 			return nil, err
 		}
 		var results []process.Expr
+		h := 0
 		if p.tok.kind == tLParen {
 			if err := p.advance(); err != nil {
 				return nil, err
@@ -438,6 +518,7 @@ func (p *parser) parsePrefix() (process.Behavior, error) {
 				if err != nil {
 					return nil, err
 				}
+				h = max(h, p.height)
 				results = append(results, e)
 				if p.tok.kind != tComma {
 					break
@@ -450,6 +531,7 @@ func (p *parser) parsePrefix() (process.Behavior, error) {
 				return nil, err
 			}
 		}
+		p.built(h)
 		return process.Exit{Results: results}, nil
 
 	case p.tok.kind == tLParen:
@@ -479,6 +561,7 @@ func (p *parser) parsePrefix() (process.Behavior, error) {
 		}
 		// Process instantiation.
 		var args []process.Expr
+		h := 0
 		if p.tok.kind == tLParen {
 			if err := p.advance(); err != nil {
 				return nil, err
@@ -488,6 +571,7 @@ func (p *parser) parsePrefix() (process.Behavior, error) {
 				if err != nil {
 					return nil, err
 				}
+				h = max(h, p.height)
 				args = append(args, e)
 				if p.tok.kind != tComma {
 					break
@@ -500,6 +584,7 @@ func (p *parser) parsePrefix() (process.Behavior, error) {
 				return nil, err
 			}
 		}
+		p.built(h)
 		return process.Call{Proc: name, Args: args}, nil
 
 	default:
@@ -511,6 +596,7 @@ func (p *parser) parsePrefix() (process.Behavior, error) {
 // whose gate name has already been consumed.
 func (p *parser) parseActionTail(gate string) (process.Behavior, error) {
 	var offers []process.Offer
+	h := 0
 	for {
 		switch p.tok.kind {
 		case tBang:
@@ -521,6 +607,7 @@ func (p *parser) parseActionTail(gate string) (process.Behavior, error) {
 			if err != nil {
 				return nil, err
 			}
+			h = max(h, p.height)
 			offers = append(offers, process.Send(e))
 			continue
 		case tQuest:
@@ -564,6 +651,7 @@ func (p *parser) parseActionTail(gate string) (process.Behavior, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.built(h, p.height)
 	return process.Prefix{Gate: gate, Offers: offers, Cont: cont}, nil
 }
 

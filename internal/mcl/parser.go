@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+
+	"multival/internal/engine"
 )
 
 // Parse parses a formula in the concrete syntax below (a pragmatic subset
@@ -33,6 +35,9 @@ func Parse(input string) (Formula, error) {
 	f, err := p.parseFormula()
 	if err != nil {
 		return nil, err
+	}
+	if p.height > MaxNesting {
+		return nil, p.tooDeep()
 	}
 	if p.tok.kind != tokEOF {
 		return nil, p.errorf("unexpected %q after formula", p.tok.text)
@@ -80,10 +85,53 @@ type parser struct {
 	src string
 	pos int
 	tok token
+	// depth is the current depth of recursive descent; height is the
+	// nesting height of the formula parsed last.
+	depth, height int
 }
+
+// MaxNesting bounds how deeply a formula may nest: the depth of
+// recursive descent (parentheses, operators, fixpoints) and the height
+// of the formula, action formulas included. Deeper input is rejected
+// with an error wrapping engine.ErrNestingDepth; it would otherwise
+// exhaust the goroutine stack of the parser or of the recursive
+// evaluation, and a stack overflow cannot be recovered.
+const MaxNesting = 1000
 
 func (p *parser) errorf(format string, args ...interface{}) error {
 	return fmt.Errorf("mcl: parse error at offset %d: %s", p.tok.pos, fmt.Sprintf(format, args...))
+}
+
+// enter counts one more level of recursive descent; leave undoes it.
+func (p *parser) enter() error {
+	p.depth++
+	if p.depth > MaxNesting {
+		return p.tooDeep()
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
+
+// built records the height of the formula just built over subformulas
+// of the given heights.
+func (p *parser) built(subformulas ...int) {
+	h := 0
+	for _, s := range subformulas {
+		h = max(h, s)
+	}
+	p.height = h + 1
+}
+
+// join records the height of a binary formula whose left operand has
+// height left and whose right operand was parsed last, and returns it.
+func (p *parser) join(left int) int {
+	p.built(left, p.height)
+	return p.height
+}
+
+func (p *parser) tooDeep() error {
+	return fmt.Errorf("mcl: parse error at offset %d: nesting deeper than %d levels: %w", p.tok.pos, MaxNesting, engine.ErrNestingDepth)
 }
 
 func (p *parser) next() {
@@ -193,16 +241,22 @@ func (p *parser) parseFormula() (Formula, error) {
 }
 
 func (p *parser) parseImpl() (Formula, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	left, err := p.parseDisj()
 	if err != nil {
 		return nil, err
 	}
 	if p.tok.kind == tokArrow {
+		h := p.height
 		p.next()
 		right, err := p.parseImpl()
 		if err != nil {
 			return nil, err
 		}
+		p.join(h)
 		return Implies(left, right), nil
 	}
 	return left, nil
@@ -213,12 +267,14 @@ func (p *parser) parseDisj() (Formula, error) {
 	if err != nil {
 		return nil, err
 	}
+	h := p.height
 	for p.tok.kind == tokIdent && p.tok.text == "or" {
 		p.next()
 		right, err := p.parseConj()
 		if err != nil {
 			return nil, err
 		}
+		h = p.join(h)
 		left = Or(left, right)
 	}
 	return left, nil
@@ -229,33 +285,46 @@ func (p *parser) parseConj() (Formula, error) {
 	if err != nil {
 		return nil, err
 	}
+	h := p.height
 	for p.tok.kind == tokIdent && p.tok.text == "and" {
 		p.next()
 		right, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
+		h = p.join(h)
 		left = And(left, right)
 	}
 	return left, nil
 }
 
 func (p *parser) parseUnary() (Formula, error) {
+	p.height = 1
 	switch {
 	case p.tok.kind == tokIdent && p.tok.text == "not":
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		p.next()
 		f, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
+		p.built(p.height)
 		return Not(f), nil
 
 	case p.tok.kind == tokLAngle:
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		p.next()
 		act, err := p.parseActDisj()
 		if err != nil {
 			return nil, err
 		}
+		ha := p.height
 		if err := p.expect(tokRAngle, "'>'"); err != nil {
 			return nil, err
 		}
@@ -263,14 +332,20 @@ func (p *parser) parseUnary() (Formula, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.built(ha, p.height)
 		return Dia(act, f), nil
 
 	case p.tok.kind == tokLBrack:
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		p.next()
 		act, err := p.parseActDisj()
 		if err != nil {
 			return nil, err
 		}
+		ha := p.height
 		if err := p.expect(tokRBrack, "']'"); err != nil {
 			return nil, err
 		}
@@ -278,6 +353,7 @@ func (p *parser) parseUnary() (Formula, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.built(ha, p.height)
 		return Box(act, f), nil
 
 	case p.tok.kind == tokIdent && (p.tok.text == "mu" || p.tok.text == "nu"):
@@ -295,6 +371,7 @@ func (p *parser) parseUnary() (Formula, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.built(p.height)
 		if kw == "mu" {
 			return Mu(name, body), nil
 		}
@@ -334,12 +411,14 @@ func (p *parser) parseActDisj() (ActionFormula, error) {
 	if err != nil {
 		return nil, err
 	}
+	h := p.height
 	for p.tok.kind == tokPipe {
 		p.next()
 		right, err := p.parseActConj()
 		if err != nil {
 			return nil, err
 		}
+		h = p.join(h)
 		left = OrAction(left, right)
 	}
 	return left, nil
@@ -350,25 +429,33 @@ func (p *parser) parseActConj() (ActionFormula, error) {
 	if err != nil {
 		return nil, err
 	}
+	h := p.height
 	for p.tok.kind == tokAmp {
 		p.next()
 		right, err := p.parseActUnary()
 		if err != nil {
 			return nil, err
 		}
+		h = p.join(h)
 		left = AndAction(left, right)
 	}
 	return left, nil
 }
 
 func (p *parser) parseActUnary() (ActionFormula, error) {
+	p.height = 1
 	switch p.tok.kind {
 	case tokTilde:
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		p.next()
 		a, err := p.parseActUnary()
 		if err != nil {
 			return nil, err
 		}
+		p.built(p.height)
 		return NotAction(a), nil
 	case tokIdent:
 		text := p.tok.text
@@ -390,6 +477,10 @@ func (p *parser) parseActUnary() (ActionFormula, error) {
 		p.next()
 		return ActionRegex(pat)
 	case tokLParen:
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		p.next()
 		a, err := p.parseActDisj()
 		if err != nil {

@@ -43,13 +43,14 @@ func (o Offer) String() string {
 
 // Behavior is a LOTOS-like behaviour term. Terms are immutable; the
 // generator rewrites them by substitution, so a reachable term is always
-// closed (no free variables).
+// closed (no free variables). The set of terms is closed: only the types
+// of this package implement Behavior.
 type Behavior interface {
-	// String renders the term canonically; equal strings mean equal
-	// states during generation.
+	// String renders the term in concrete syntax. Generation identifies
+	// two terms when they print alike, but it compares interned term IDs
+	// and never prints a term (see Generate).
 	String() string
-	// subst replaces free occurrences of a variable by a value.
-	subst(name string, v Value) Behavior
+	behavior()
 }
 
 type (
@@ -262,99 +263,15 @@ func (c Call) String() string {
 	return c.Proc + "(" + exprList(c.Args) + ")"
 }
 
-// ---- substitution ----
-
-func (s Stop) subst(string, Value) Behavior { return s }
-
-func (e Exit) subst(name string, v Value) Behavior {
-	if len(e.Results) == 0 {
-		return e
-	}
-	rs := make([]Expr, len(e.Results))
-	for i, r := range e.Results {
-		rs[i] = r.substExpr(name, v)
-	}
-	return Exit{rs}
-}
-
-func (p Prefix) subst(name string, v Value) Behavior {
-	offers := make([]Offer, len(p.Offers))
-	shadowed := false
-	for i, o := range p.Offers {
-		if shadowed {
-			offers[i] = o
-			continue
-		}
-		if o.Emit != nil {
-			offers[i] = Offer{Emit: o.Emit.substExpr(name, v)}
-			continue
-		}
-		offers[i] = o
-		if o.Var == name {
-			// Later offers and the continuation see the new binding.
-			shadowed = true
-		}
-	}
-	cont := p.Cont
-	if !shadowed {
-		cont = cont.subst(name, v)
-	}
-	return Prefix{p.Gate, offers, cont}
-}
-
-func (g Guard) subst(name string, v Value) Behavior {
-	return Guard{g.Cond.substExpr(name, v), g.B.subst(name, v)}
-}
-
-func (c Choice) subst(name string, v Value) Behavior {
-	return Choice{c.A.subst(name, v), c.B.subst(name, v)}
-}
-
-func (p Par) subst(name string, v Value) Behavior {
-	return Par{p.Sync, p.A.subst(name, v), p.B.subst(name, v)}
-}
-
-func (h Hide) subst(name string, v Value) Behavior {
-	return Hide{h.Gates, h.B.subst(name, v)}
-}
-
-func (r Rename) subst(name string, v Value) Behavior {
-	return Rename{r.Map, r.B.subst(name, v)}
-}
-
-func (d Disable) subst(name string, v Value) Behavior {
-	return Disable{d.A.subst(name, v), d.B.subst(name, v)}
-}
-
-func (s Seq) subst(name string, v Value) Behavior {
-	a := s.A.subst(name, v)
-	b := s.B
-	// Accept variables shadow the substitution in B.
-	shadow := false
-	for _, acc := range s.Accept {
-		if acc == name {
-			shadow = true
-		}
-	}
-	if !shadow {
-		b = b.subst(name, v)
-	}
-	return Seq{a, s.Accept, b}
-}
-
-func (l Let) subst(name string, v Value) Behavior {
-	e := l.E.substExpr(name, v)
-	b := l.B
-	if l.Var != name { // let shadows
-		b = b.subst(name, v)
-	}
-	return Let{l.Var, e, b}
-}
-
-func (c Call) subst(name string, v Value) Behavior {
-	args := make([]Expr, len(c.Args))
-	for i, a := range c.Args {
-		args[i] = a.substExpr(name, v)
-	}
-	return Call{c.Proc, args}
-}
+func (Stop) behavior()    {}
+func (Exit) behavior()    {}
+func (Prefix) behavior()  {}
+func (Guard) behavior()   {}
+func (Choice) behavior()  {}
+func (Par) behavior()     {}
+func (Hide) behavior()    {}
+func (Rename) behavior()  {}
+func (Seq) behavior()     {}
+func (Disable) behavior() {}
+func (Let) behavior()     {}
+func (Call) behavior()    {}

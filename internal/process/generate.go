@@ -69,9 +69,12 @@ func (e *ExplosionError) Error() string {
 func (e *ExplosionError) Unwrap() error { return engine.ErrStateBound }
 
 // Generate explores the state space of the system's root behaviour and
-// returns it as an LTS. States are identified by the canonical printing of
-// their (closed) behaviour term; exploration is breadth-first, so state
-// numbering is deterministic. It is GenerateCtx without cancellation.
+// returns it as an LTS. Exploration is breadth-first over hash-consed
+// terms: each state is the ID of its (closed) behaviour term in a table
+// built for this call, two terms get one ID exactly when they print
+// alike, and the steps of every component term are derived once and
+// reused by every product state that contains it. State numbering is
+// therefore deterministic. It is GenerateCtx without cancellation.
 func (s *System) Generate(opts GenOptions) (*lts.LTS, error) {
 	return s.GenerateCtx(context.Background(), opts)
 }
@@ -85,6 +88,16 @@ const genCheckEvery = 1024
 // when the context is done, so a deadline or cancel aborts generation
 // mid-worklist rather than after the fact.
 func (s *System) GenerateCtx(ctx context.Context, opts GenOptions) (*lts.LTS, error) {
+	return generate(s, ctx, opts)
+}
+
+// generate is the exploration GenerateCtx runs. It is a variable only so
+// that this package's tests can check every generation in the test
+// binary, including those of models built by other packages, against
+// the string-keyed reference generator.
+var generate = (*System).generateTerms
+
+func (s *System) generateTerms(ctx context.Context, opts GenOptions) (*lts.LTS, error) {
 	if s.Root == nil {
 		return nil, fmt.Errorf("process: system %q has no root behaviour", s.Name)
 	}
@@ -93,50 +106,97 @@ func (s *System) GenerateCtx(ctx context.Context, opts GenOptions) (*lts.LTS, er
 		bound = DefaultMaxStates
 	}
 
-	l := lts.New(s.Name)
-	index := make(map[string]lts.State)
-	var terms []Behavior
-
-	intern := func(b Behavior) (lts.State, bool, error) {
-		key := b.String()
-		if st, ok := index[key]; ok {
-			return st, false, nil
-		}
-		if len(terms) >= bound {
-			return 0, false, &ExplosionError{bound}
-		}
-		st := l.AddState()
-		index[key] = st
-		terms = append(terms, b)
-		return st, true, nil
-	}
-
-	if _, _, err := intern(s.Root); err != nil {
+	g := newGenerator(s.Defs)
+	root, err := g.t.intern(s.Root)
+	if err != nil {
 		return nil, err
 	}
-	l.SetInitial(0)
 
-	for qi := 0; qi < len(terms); qi++ {
+	var (
+		queue   []int32  // term ID of each state, in state order
+		stateOf []int32  // term ID -> state + 1 (0: not a state)
+		labelOf []int32  // generator label -> LTS label + 1 (0: unused)
+		labels  []string // LTS label table, in order of first use
+		trans   transitions
+	)
+	// state returns the state of term id, numbering it on first sight.
+	state := func(id int32) (lts.State, error) {
+		if int(id) < len(stateOf) && stateOf[id] != 0 {
+			return lts.State(stateOf[id] - 1), nil
+		}
+		if len(queue) >= bound {
+			return 0, &ExplosionError{bound}
+		}
+		stateOf = extend(stateOf, len(g.t.nodes))
+		stateOf[id] = int32(len(queue)) + 1
+		queue = append(queue, id)
+		return lts.State(len(queue) - 1), nil
+	}
+	// ltsLabel resolves a generator label to its LTS label ID on first use.
+	ltsLabel := func(lab int32) int {
+		labelOf = extend(labelOf, len(g.labels))
+		if labelOf[lab] == 0 {
+			labels = append(labels, g.labels[lab].text())
+			labelOf[lab] = int32(len(labels))
+		}
+		return int(labelOf[lab] - 1)
+	}
+
+	if _, err := state(root); err != nil {
+		return nil, err
+	}
+
+	var buf []step
+	for qi := 0; qi < len(queue); qi++ {
 		if qi%genCheckEvery == 0 {
 			if err := engine.Canceled(ctx); err != nil {
-				return nil, fmt.Errorf("process: generation canceled at %d states: %w", len(terms), err)
+				return nil, fmt.Errorf("process: generation canceled at %d states: %w", len(queue), err)
 			}
-			opts.Progress.Report(engine.Progress{Stage: "generate", States: len(terms)})
+			opts.Progress.Report(engine.Progress{Stage: "generate", States: len(queue)})
 		}
-		src := lts.State(qi)
-		ss, err := steps(terms[qi], s.Defs, 0)
+		buf, err = g.derive(queue[qi], 0, buf[:0])
 		if err != nil {
 			return nil, fmt.Errorf("state %d: %w", qi, err)
 		}
-		for _, st := range ss {
-			dst, _, err := intern(st.next)
+		for _, st := range buf {
+			dst, err := state(st.next)
 			if err != nil {
 				return nil, err
 			}
-			l.AddTransition(src, st.label(), dst)
+			trans.add(lts.Transition{Src: lts.State(qi), Label: ltsLabel(st.lab), Dst: dst})
 		}
 	}
-	return l, nil
+	return lts.Build(s.Name, len(queue), 0, labels, trans.flat()), nil
+}
+
+// transitions collects a transition list in chunks of doubling size and
+// copies it once into a list of the final size: appending to one slice
+// would allocate several times the final list while it grows.
+type transitions [][]lts.Transition
+
+func (ts *transitions) add(t lts.Transition) {
+	n := len(*ts)
+	if n == 0 || len((*ts)[n-1]) == cap((*ts)[n-1]) {
+		size := 256
+		if n > 0 {
+			size = min(2*cap((*ts)[n-1]), 1<<16)
+		}
+		*ts = append(*ts, make([]lts.Transition, 0, size))
+		n++
+	}
+	(*ts)[n-1] = append((*ts)[n-1], t)
+}
+
+func (ts transitions) flat() []lts.Transition {
+	total := 0
+	for _, c := range ts {
+		total += len(c)
+	}
+	out := make([]lts.Transition, 0, total)
+	for _, c := range ts {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // MustGenerate is Generate that panics on error; for models known to be

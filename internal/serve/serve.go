@@ -848,7 +848,7 @@ func (s *Server) runCheck(ctx context.Context, funcKey string, fm *multival.Mode
 		rec.Enter(obs.StageCheck)
 		f, err := mcl.ParseQuery(query)
 		if err != nil {
-			return nil, badRequestf("%v", err)
+			return nil, badRequestf("%w", err)
 		}
 		type outcome struct {
 			r   mcl.Result

@@ -347,6 +347,8 @@ func ErrorCode(err error) (code string, status int) {
 		return "not_irreducible", http.StatusUnprocessableEntity
 	case errors.Is(err, multival.ErrZeno):
 		return "zeno", http.StatusUnprocessableEntity
+	case errors.Is(err, multival.ErrNestingDepth):
+		return "nesting_depth", http.StatusBadRequest
 	case errors.Is(err, errBadRequest):
 		return "bad_request", http.StatusBadRequest
 	default:

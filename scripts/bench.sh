@@ -2,34 +2,39 @@
 # Benchmark trajectory: run the solver benchmarks (CSR sweep kernels,
 # Krylov vs sweep method forcing, SCC-block absorption, policy-iteration
 # bounds), the serving benchmarks (cold solve vs content-addressed cache
-# hit over HTTP), and the composition benchmarks (sequential vs
-# hash-sharded generation of the ~100k-state product), and the sweep
-# benchmarks (3x3 fame grid cold vs warm vs naive per-point re-solve,
-# measuring the artifact sharing across grid points) with a
-# benchstat-friendly repeat count, keep the raw `go test` output for
-# `benchstat old.txt new.txt` comparisons, and write a compact
-# BENCH_PR7.json summary so future PRs have a perf trajectory to diff
-# against. Run via `make bench-solver`; tune with COUNT/BENCH/OUT_*.
+# hit over HTTP), the composition benchmarks (sequential vs hash-sharded
+# generation of the ~100k-state product), the process generation
+# benchmarks (E2's 6,385- and 65,329-state handshake routers, with
+# states/s and allocs/state), and the sweep benchmarks (3x3 fame grid
+# cold vs warm vs naive per-point re-solve, measuring the artifact
+# sharing across grid points) with a benchstat-friendly repeat count and
+# -benchmem, keep the raw `go test` output for `benchstat old.txt
+# new.txt` comparisons, and write a compact BENCH_PR<N>.json summary so
+# later changes have a perf trajectory to diff against. N is the number
+# of the change the run belongs to. Run via `make bench-solver PR=N`;
+# tune with COUNT/BENCH/OUT_*.
 #
-#   scripts/bench.sh --compare BENCH_PR6.json
+#   scripts/bench.sh --compare BENCH_PR<M>.json N
 #
 # additionally prints a per-benchmark delta table (mean vs mean) against
 # a previous summary after the run.
 set -eu
 
+usage="usage: bench.sh [--compare PREV.json] PR-NUMBER"
 COMPARE=""
 if [ "${1:-}" = "--compare" ]; then
-    COMPARE="${2:?usage: bench.sh --compare PREV.json}"
+    COMPARE="${2:?$usage}"
     shift 2
 fi
+PR="${1:?$usage}"
 
 COUNT="${COUNT:-6}"
-BENCH="${BENCH:-SteadyStateLargeChain|SteadyStateLargeChainGS|SteadyStateLargeChainBiCGSTAB|AbsorptionMultiBSCC|TransientLargeChain|ThroughputBoundsPolicy|ServeSolve|ComposeSeq100k|ComposeParallel100k|SweepFameCold|SweepFameWarm|SweepFameNaive}"
-OUT_TXT="${OUT_TXT:-BENCH_PR7.txt}"
-OUT_JSON="${OUT_JSON:-BENCH_PR7.json}"
+BENCH="${BENCH:-SteadyStateLargeChain|SteadyStateLargeChainGS|SteadyStateLargeChainBiCGSTAB|AbsorptionMultiBSCC|TransientLargeChain|ThroughputBoundsPolicy|ServeSolve|ComposeSeq100k|ComposeParallel100k|Generate|SweepFameCold|SweepFameWarm|SweepFameNaive}"
+OUT_TXT="${OUT_TXT:-BENCH_PR$PR.txt}"
+OUT_JSON="${OUT_JSON:-BENCH_PR$PR.json}"
 
 echo "bench: running [$BENCH] x$COUNT"
-go test -run XXX -bench "$BENCH" -benchtime 1x -count "$COUNT" . ./internal/serve | tee "$OUT_TXT"
+go test -run XXX -bench "$BENCH" -benchtime 1x -benchmem -count "$COUNT" . ./internal/serve | tee "$OUT_TXT"
 
 awk -v count="$COUNT" '
 /^Benchmark/ {
@@ -37,13 +42,27 @@ awk -v count="$COUNT" '
     if (!(name in seen)) { seen[name] = 1; order[++k] = name }
     sum[name] += $3; cnt[name]++
     if (!(name in mn) || $3 < mn[name]) mn[name] = $3
+    # The value/unit pairs after ns/op: custom metrics, B/op, allocs/op.
+    for (f = 5; f < NF; f += 2) {
+        key = name SUBSEP $(f + 1)
+        if (!(key in msum)) units[name] = units[name] SUBSEP $(f + 1)
+        msum[key] += $f
+    }
 }
 END {
     printf "{\n  \"count\": %d,\n  \"benchmarks\": [\n", count
     for (i = 1; i <= k; i++) {
         name = order[i]
-        printf "    {\"name\": \"%s\", \"runs\": %d, \"mean_ns_per_op\": %.0f, \"min_ns_per_op\": %.0f}%s\n", \
-            name, cnt[name], sum[name] / cnt[name], mn[name], (i < k) ? "," : ""
+        printf "    {\"name\": \"%s\", \"runs\": %d, \"mean_ns_per_op\": %.0f, \"min_ns_per_op\": %.0f", \
+            name, cnt[name], sum[name] / cnt[name], mn[name]
+        n = split(units[name], us, SUBSEP)
+        sep = ", \"mean\": {"
+        for (j = 2; j <= n; j++) {
+            printf "%s\"%s\": %.10g", sep, us[j], msum[name SUBSEP us[j]] / cnt[name]
+            sep = ", "
+        }
+        if (n > 1) printf "}"
+        printf "}%s\n", (i < k) ? "," : ""
     }
     printf "  ]\n}\n"
 }
